@@ -6,15 +6,20 @@
 //! a sanctioned offline crate, so this crate implements the same algorithm
 //! families from scratch:
 //!
-//! - [`rc`] — an adaptive binary range coder (the entropy backbone of both
-//!   codecs), with adaptive bit models, bit trees, and direct bits.
+//! - [`rc`] — an adaptive binary range coder (the entropy backbone of the
+//!   LZ codec and the temporal delta frames), with adaptive bit models,
+//!   bit trees, and direct bits.
+//! - [`rans`] — static rANS over context-indexed 64-symbol alphabets with
+//!   compact per-context frequency tables and a raw bit side stream, coded
+//!   in two passes (the mesh codec's entropy back end).
 //! - [`primitives`] — zigzag, varint, and delta transforms.
 //! - [`lzma`] — an LZ77 codec with hash-chain match finding, order-1
 //!   literal contexts, and rep-distance modeling: structurally an LZMA
 //!   sibling, used everywhere the paper says "LZMA".
 //! - [`meshcodec`] — a Draco-class triangle-mesh codec: connectivity by
 //!   region-growing traversal with implicit vertex numbering, positions by
-//!   quantization + parallelogram prediction, everything entropy-coded.
+//!   quantization + parallelogram prediction, entropy-coded with
+//!   context-modelled static rANS.
 //! - [`texture`] — a DXT/BTC-style 4x4 block texture codec (4 bpp), the
 //!   "compressed 2D texture" channel of §3.1.
 //! - [`temporal`] — inter-frame mesh compression for fixed-topology
@@ -27,6 +32,7 @@ pub mod lzma;
 pub mod temporal;
 pub mod meshcodec;
 pub mod primitives;
+pub mod rans;
 pub mod rc;
 pub mod texture;
 

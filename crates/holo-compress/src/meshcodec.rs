@@ -12,18 +12,35 @@
 //! 3. **Parallelogram prediction**: a newly attached vertex is predicted
 //!    from the known triangle across the shared edge; only the (small)
 //!    residual is coded.
-//! 4. **Adaptive range coding** of every symbol class.
+//! 4. **Context-modelled static rANS** ([`crate::rans`]), as in Draco's
+//!    back end. Each traversal op is a skip flag and a new-vertex flag,
+//!    both conditioned on the previous two ops; residuals and known-vertex
+//!    back-references are bucketed LZMA-style into a 64-symbol slot (the
+//!    back-reference slot conditioned on the previous one) plus uniform
+//!    direct bits. Slots and flags are rANS-coded; direct bits and the
+//!    few seed-vertex fields go to a raw bit-packed side stream.
+//!
+//! Encoding takes two passes: the traversal collects `(context, symbol)`
+//! pairs and raw bits, then the coder normalises one frequency table per
+//! used context and rANS-encodes in reverse. Decoding is one forward
+//! pass. Stream layout (`MCD2`): a 25-byte header (magic, bits, face
+//! count, origin, step); then, for a non-empty mesh, the side stream's
+//! byte length as a varint, the side stream (frequency tables, then raw
+//! bits) and the rANS stream.
+//!
+//! Directed edges are found through a flat CSR index of each vertex's
+//! outgoing half-edges in face order, so the first face holding an edge
+//! wins, as the traversal requires.
 //!
 //! The codec is lossless in connectivity (up to vertex re-ordering;
 //! unreferenced vertices are dropped) and lossy in positions by at most
 //! half a quantization step per component.
 
 use crate::primitives::{unzigzag, zigzag};
-use crate::rc::{decode_bucketed, encode_bucketed, BitModel, BitTree, RangeDecoder, RangeEncoder};
+use crate::rans::{BitReader, BitWriter, ModelDecoder, ModelEncoder};
 use holo_math::Vec3;
 use holo_mesh::trimesh::TriMesh;
 use holo_runtime::ser::{ByteReader, DecodeError};
-use std::collections::HashMap;
 
 /// Codec parameters.
 #[derive(Debug, Clone, Copy)]
@@ -38,34 +55,63 @@ impl Default for MeshCodecConfig {
     }
 }
 
-const MAGIC: u32 = 0x4D43_4431; // "MCD1"
+const MAGIC: u32 = 0x4D43_4432; // "MCD2"
 
-struct Models {
-    /// First op bit: 1 = skip (no face across this edge).
-    skip: BitModel,
-    /// Second op bit: 1 = new vertex, 0 = known vertex.
-    is_new: BitModel,
-    /// Seed-vertex "already discovered" bit.
-    seed_known: BitModel,
-    /// Residual magnitude trees per component (attach prediction).
-    attach: [BitTree; 3],
-    /// Delta trees per component (seed absolute coding).
-    seed: [BitTree; 3],
-    /// Known-vertex back-reference tree.
-    backref: BitTree,
+// Traversal ops, and the rANS contexts that code them. An op history
+// `h` is the last two ops as a base-3 number (0..9).
+const OP_SKIP: usize = 0;
+const OP_NEW: usize = 1;
+const OP_KNOWN: usize = 2;
+/// Skip flag, by op history.
+const CTX_SKIP: usize = 0;
+/// New-vertex flag, by op history.
+const CTX_IS_NEW: usize = 9;
+/// Attach-residual slot, per component.
+const CTX_RESIDUAL: usize = 18;
+/// Back-reference slot, by the previous back-reference slot.
+const CTX_BACKREF: usize = 21;
+const CONTEXTS: usize = CTX_BACKREF + 64;
+
+fn is_flag(ctx: usize) -> bool {
+    ctx < CTX_RESIDUAL
 }
 
-impl Models {
-    fn new() -> Self {
-        Self {
-            skip: BitModel::new(),
-            is_new: BitModel::new(),
-            seed_known: BitModel::new(),
-            attach: [BitTree::new(6), BitTree::new(6), BitTree::new(6)],
-            seed: [BitTree::new(6), BitTree::new(6), BitTree::new(6)],
-            backref: BitTree::new(6),
-        }
+/// Split `value` into the LZMA-style bucket slot (< 64) and the count
+/// and value of its direct bits: small values cost few bits, large ones
+/// grow logarithmically.
+#[inline]
+fn bucket(value: u32) -> (u32, u32, u32) {
+    if value < 4 {
+        return (value, 0, 0);
     }
+    let bits = 31 - value.leading_zeros();
+    let slot = (bits << 1) | ((value >> (bits - 1)) & 1);
+    let direct = bits - 1;
+    (slot, direct, value - ((2 | (slot & 1)) << direct))
+}
+
+/// Inverse of [`bucket`]: the value of `slot` with its direct bits read
+/// from `raw`.
+#[inline]
+fn unbucket(slot: u32, raw: &mut BitReader<'_>) -> Result<u32, DecodeError> {
+    if slot < 4 {
+        return Ok(slot);
+    }
+    let direct = (slot >> 1) - 1;
+    Ok(((2 | (slot & 1)) << direct) + raw.read(direct)?)
+}
+
+/// A bucketed value entirely in raw bits (seed vertices: a handful per
+/// component, not worth a table).
+fn write_raw_bucketed(raw: &mut BitWriter, value: u32) {
+    let (slot, direct, rest) = bucket(value);
+    raw.write(slot, 6);
+    raw.write(rest, direct);
+}
+
+fn read_raw_bucketed(raw: &mut BitReader<'_>) -> Result<u32, DecodeError> {
+    let slot = raw.read(6)?;
+    unbucket(slot, raw)
 }
 
 type QPos = [i32; 3];
@@ -87,6 +133,47 @@ fn quantize_positions(mesh: &TriMesh, bits: u32) -> (Vec<QPos>, Vec3, f32) {
         })
         .collect();
     (q, origin, step)
+}
+
+/// Directed-edge index in CSR form: the outgoing half-edges of each
+/// vertex, in face order. The first entry matching `(u, v)` is the
+/// first face that wrote the edge; duplicate directed edges
+/// (non-manifold) are reached via seeding.
+struct EdgeIndex {
+    offsets: Vec<u32>,
+    /// `(v, face, third vertex)` per half-edge `u → v`.
+    edges: Vec<(u32, u32, u32)>,
+}
+
+impl EdgeIndex {
+    fn new(mesh: &TriMesh) -> Self {
+        let mut offsets = vec![0u32; mesh.vertices.len() + 1];
+        for f in &mesh.faces {
+            for &a in f {
+                offsets[a as usize + 1] += 1;
+            }
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut fill = offsets.clone();
+        let mut edges = vec![(0, 0, 0); mesh.faces.len() * 3];
+        for (fi, f) in mesh.faces.iter().enumerate() {
+            for k in 0..3 {
+                let a = f[k] as usize;
+                edges[fill[a] as usize] = (f[(k + 1) % 3], fi as u32, f[(k + 2) % 3]);
+                fill[a] += 1;
+            }
+        }
+        Self { offsets, edges }
+    }
+
+    /// `(face, third vertex)` of the first face holding edge `u → v`.
+    #[inline]
+    fn get(&self, u: u32, v: u32) -> Option<(u32, u32)> {
+        let range = self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize;
+        self.edges[range].iter().find(|e| e.0 == v).map(|e| (e.1, e.2))
+    }
 }
 
 /// Encode a mesh. Unreferenced vertices are not preserved.
@@ -130,52 +217,42 @@ fn encode_mesh_inner(mesh: &TriMesh, cfg: &MeshCodecConfig) -> (Vec<u8>, Vec<u32
         return (out, order);
     }
 
-    // Directed edge -> (face index, third vertex). First writer wins;
-    // duplicate directed edges (non-manifold) are reached via seeding.
-    let mut edge_map: HashMap<(u32, u32), (u32, u32)> = HashMap::new();
-    for (fi, f) in mesh.faces.iter().enumerate() {
-        for k in 0..3 {
-            let a = f[k];
-            let b = f[(k + 1) % 3];
-            let c = f[(k + 2) % 3];
-            edge_map.entry((a, b)).or_insert((fi as u32, c));
-        }
-    }
-
-    let mut enc = RangeEncoder::new();
-    let mut models = Models::new();
+    // Pass one: traverse, collecting (context, symbol) pairs and the
+    // raw side stream.
+    let edges = EdgeIndex::new(mesh);
+    let mut model = ModelEncoder::new(CONTEXTS);
+    let mut raw = BitWriter::new();
     let mut visited = vec![false; mesh.faces.len()];
+    let mut faces_left = mesh.faces.len();
     let mut disc: Vec<Option<u32>> = vec![None; mesh.vertices.len()];
     let mut next_disc = 0u32;
     let mut last_abs: QPos = [0, 0, 0];
+    let mut history = 0usize;
+    let mut last_backref = 0usize;
     // Stack entries: (u, v, opp) — find the face containing directed edge
     // (u, v); `opp` supports parallelogram prediction.
     let mut stack: Vec<(u32, u32, u32)> = Vec::new();
 
-    let encode_residual = |enc: &mut RangeEncoder, models: &mut [BitTree; 3], r: QPos| {
-        for (k, tree) in models.iter_mut().enumerate() {
-            encode_bucketed(enc, tree, zigzag(r[k]));
-        }
-    };
-
-    for seed_face in 0..mesh.faces.len() {
+    'components: for seed_face in 0..mesh.faces.len() {
         if visited[seed_face] {
             continue;
         }
         // Start a component: emit the seed triangle's vertices.
         visited[seed_face] = true;
+        faces_left -= 1;
         let f = mesh.faces[seed_face];
         for &v in &f {
             match disc[v as usize] {
                 Some(d) => {
-                    enc.encode_bit(&mut models.seed_known, 1);
-                    encode_bucketed(&mut enc, &mut models.backref, next_disc - 1 - d);
+                    raw.write(1, 1);
+                    write_raw_bucketed(&mut raw, next_disc - 1 - d);
                 }
                 None => {
-                    enc.encode_bit(&mut models.seed_known, 0);
+                    raw.write(0, 1);
                     let q = qpos[v as usize];
-                    let r = [q[0] - last_abs[0], q[1] - last_abs[1], q[2] - last_abs[2]];
-                    encode_residual(&mut enc, &mut models.seed, r);
+                    for k in 0..3 {
+                        write_raw_bucketed(&mut raw, zigzag(q[k] - last_abs[k]));
+                    }
                     last_abs = q;
                     disc[v as usize] = Some(next_disc);
                     order.push(v);
@@ -189,29 +266,41 @@ fn encode_mesh_inner(mesh: &TriMesh, cfg: &MeshCodecConfig) -> (Vec<u8>, Vec<u32
         stack.push((s0, s2, s1));
 
         while let Some((u, v, opp)) = stack.pop() {
-            let hit = edge_map.get(&(u, v)).copied();
-            let (fi, c) = match hit {
+            // Once every face is out, the ops left are all skips the
+            // decoder never needs.
+            if faces_left == 0 {
+                break 'components;
+            }
+            let (fi, c) = match edges.get(u, v) {
                 Some((fi, c)) if !visited[fi as usize] => (fi, c),
                 _ => {
-                    enc.encode_bit(&mut models.skip, 1);
+                    model.put(CTX_SKIP + history, 1);
+                    history = (history * 3 + OP_SKIP) % 9;
                     continue;
                 }
             };
-            enc.encode_bit(&mut models.skip, 0);
+            model.put(CTX_SKIP + history, 0);
             visited[fi as usize] = true;
+            faces_left -= 1;
             match disc[c as usize] {
                 Some(d) => {
-                    enc.encode_bit(&mut models.is_new, 0);
-                    encode_bucketed(&mut enc, &mut models.backref, next_disc - 1 - d);
+                    model.put(CTX_IS_NEW + history, 0);
+                    history = (history * 3 + OP_KNOWN) % 9;
+                    let (slot, direct, rest) = bucket(next_disc - 1 - d);
+                    model.put(CTX_BACKREF + last_backref, slot);
+                    raw.write(rest, direct);
+                    last_backref = slot as usize;
                 }
                 None => {
-                    enc.encode_bit(&mut models.is_new, 1);
-                    let (qu, qv, qo) =
-                        (qpos[u as usize], qpos[v as usize], qpos[opp as usize]);
-                    let pred = [qu[0] + qv[0] - qo[0], qu[1] + qv[1] - qo[1], qu[2] + qv[2] - qo[2]];
+                    model.put(CTX_IS_NEW + history, 1);
+                    history = (history * 3 + OP_NEW) % 9;
+                    let (qu, qv, qo) = (qpos[u as usize], qpos[v as usize], qpos[opp as usize]);
                     let q = qpos[c as usize];
-                    let r = [q[0] - pred[0], q[1] - pred[1], q[2] - pred[2]];
-                    encode_residual(&mut enc, &mut models.attach, r);
+                    for k in 0..3 {
+                        let (slot, direct, rest) = bucket(zigzag(q[k] - (qu[k] + qv[k] - qo[k])));
+                        model.put(CTX_RESIDUAL + k, slot);
+                        raw.write(rest, direct);
+                    }
                     disc[c as usize] = Some(next_disc);
                     order.push(c);
                     next_disc += 1;
@@ -222,7 +311,14 @@ fn encode_mesh_inner(mesh: &TriMesh, cfg: &MeshCodecConfig) -> (Vec<u8>, Vec<u32
         }
     }
 
-    out.extend_from_slice(&enc.finish());
+    // Pass two: tables at the head of the side stream, then rANS.
+    let mut side = BitWriter::new();
+    let symbols = model.finish(is_flag, &mut side);
+    side.append(&raw);
+    let side = side.finish();
+    crate::primitives::write_varint(&mut out, side.len() as u32);
+    out.extend_from_slice(&side);
+    out.extend_from_slice(&symbols);
     (out, order)
 }
 
@@ -232,8 +328,10 @@ fn encode_mesh_inner(mesh: &TriMesh, cfg: &MeshCodecConfig) -> (Vec<u8>, Vec<u32
 /// Hostile-input contract: never panics (all header parsing is
 /// bounds-checked, residual arithmetic wraps instead of overflowing),
 /// and never allocates beyond what the coded bytes actually pay for —
-/// a truncated or zero-padded stream is caught by the range decoder's
+/// a truncated or zero-padded stream is caught by the rANS decoder's
 /// exhaustion check instead of spinning to a 100M-face declared count.
+/// Malformed frequency tables, a final rANS state other than the
+/// initial one, and unread raw bits are all typed errors.
 pub fn decode_mesh(data: &[u8]) -> Result<TriMesh, DecodeError> {
     if !holo_trace::enabled() {
         return decode_mesh_inner(data);
@@ -244,11 +342,13 @@ pub fn decode_mesh(data: &[u8]) -> Result<TriMesh, DecodeError> {
     out
 }
 
-/// Most faces one coded byte can legitimately produce: a saturated
-/// skip/is_new model pair costs ~0.011 bits per face, so ~715
-/// faces/byte is the physical ceiling; 1024 adds margin without
+/// Most faces one coded byte can legitimately produce. Every non-seed
+/// face costs at least three rANS symbols (skip flag, new-vertex flag,
+/// one slot), each at least `log2(SCALE / MAX_FREQ)` ≈ 0.0227 bits
+/// under the frequency cap the decoder enforces, so ~117 faces/byte is
+/// the ceiling (seed faces cost ≥ 3 raw bits); 128 adds margin without
 /// admitting absurd declared counts.
-const MAX_FACES_PER_BYTE: usize = 1024;
+const MAX_FACES_PER_BYTE: usize = 128;
 
 fn decode_mesh_inner(data: &[u8]) -> Result<TriMesh, DecodeError> {
     let mut r = ByteReader::new(data);
@@ -276,19 +376,14 @@ fn decode_mesh_inner(data: &[u8]) -> Result<TriMesh, DecodeError> {
         });
     }
 
-    let mut dec = RangeDecoder::new(r.rest());
-    let mut models = Models::new();
+    let side_len = r.varint()? as usize;
+    let mut raw = BitReader::new(r.take(side_len)?);
+    let mut dec = ModelDecoder::new(CONTEXTS, is_flag, &mut raw, r.rest())?;
     let mut qverts: Vec<QPos> = Vec::new();
     let mut last_abs: QPos = [0, 0, 0];
+    let mut history = 0usize;
+    let mut last_backref = 0usize;
     let mut stack: Vec<(u32, u32, u32)> = Vec::new();
-
-    let decode_residual = |dec: &mut RangeDecoder<'_>, trees: &mut [BitTree; 3]| -> QPos {
-        let mut r = [0i32; 3];
-        for (k, tree) in trees.iter_mut().enumerate() {
-            r[k] = unzigzag(decode_bucketed(dec, tree));
-        }
-        r
-    };
 
     while mesh.faces.len() < face_count {
         if dec.exhausted() {
@@ -297,30 +392,26 @@ fn decode_mesh_inner(data: &[u8]) -> Result<TriMesh, DecodeError> {
             // zero-fed tail after corruption).
             return Err(DecodeError::Truncated { needed: face_count, available: mesh.faces.len() });
         }
-        if stack.is_empty() {
+        let Some((u, v, opp)) = stack.pop() else {
             // Seed triangle.
             let mut ids = [0u32; 3];
             for slot in &mut ids {
-                if dec.decode_bit(&mut models.seed_known) == 1 {
-                    let back = decode_bucketed(&mut dec, &mut models.backref);
+                if raw.read(1)? == 1 {
+                    let back = read_raw_bucketed(&mut raw)?;
                     let n = qverts.len() as u32;
                     if back >= n {
                         return Err(DecodeError::corrupt("mesh", "seed backref out of range"));
                     }
                     *slot = n - 1 - back;
                 } else {
-                    let r = decode_residual(&mut dec, &mut models.seed);
                     // Wrapping: hostile residuals may not fit i32 sums;
                     // the reconstructed positions are garbage either
                     // way, but the decoder must not panic in debug.
-                    let q = [
-                        last_abs[0].wrapping_add(r[0]),
-                        last_abs[1].wrapping_add(r[1]),
-                        last_abs[2].wrapping_add(r[2]),
-                    ];
-                    last_abs = q;
+                    for c in &mut last_abs {
+                        *c = c.wrapping_add(unzigzag(read_raw_bucketed(&mut raw)?));
+                    }
                     *slot = qverts.len() as u32;
-                    qverts.push(q);
+                    qverts.push(last_abs);
                 }
             }
             mesh.faces.push(ids);
@@ -329,24 +420,28 @@ fn decode_mesh_inner(data: &[u8]) -> Result<TriMesh, DecodeError> {
             stack.push((s2, s1, s0));
             stack.push((s0, s2, s1));
             continue;
-        }
-        let Some((u, v, opp)) = stack.pop() else { unreachable!("stack checked non-empty") };
-        if dec.decode_bit(&mut models.skip) == 1 {
+        };
+        if dec.flag(CTX_SKIP + history)? {
+            history = (history * 3 + OP_SKIP) % 9;
             continue;
         }
-        let c = if dec.decode_bit(&mut models.is_new) == 1 {
+        let c = if dec.flag(CTX_IS_NEW + history)? {
+            history = (history * 3 + OP_NEW) % 9;
             let (qu, qv, qo) = (qverts[u as usize], qverts[v as usize], qverts[opp as usize]);
-            let r = decode_residual(&mut dec, &mut models.attach);
-            let q = [
-                qu[0].wrapping_add(qv[0]).wrapping_sub(qo[0]).wrapping_add(r[0]),
-                qu[1].wrapping_add(qv[1]).wrapping_sub(qo[1]).wrapping_add(r[1]),
-                qu[2].wrapping_add(qv[2]).wrapping_sub(qo[2]).wrapping_add(r[2]),
-            ];
+            let mut q = [0i32; 3];
+            for k in 0..3 {
+                let slot = dec.symbol(CTX_RESIDUAL + k)?;
+                let r = unzigzag(unbucket(slot, &mut raw)?);
+                q[k] = qu[k].wrapping_add(qv[k]).wrapping_sub(qo[k]).wrapping_add(r);
+            }
             let id = qverts.len() as u32;
             qverts.push(q);
             id
         } else {
-            let back = decode_bucketed(&mut dec, &mut models.backref);
+            history = (history * 3 + OP_KNOWN) % 9;
+            let slot = dec.symbol(CTX_BACKREF + last_backref)?;
+            last_backref = slot as usize;
+            let back = unbucket(slot, &mut raw)?;
             let n = qverts.len() as u32;
             if back >= n {
                 return Err(DecodeError::corrupt("mesh", "backref out of range"));
@@ -357,6 +452,8 @@ fn decode_mesh_inner(data: &[u8]) -> Result<TriMesh, DecodeError> {
         stack.push((c, v, u));
         stack.push((u, c, v));
     }
+    dec.finish()?;
+    raw.finish()?;
 
     mesh.vertices = qverts
         .into_iter()
@@ -527,6 +624,106 @@ mod tests {
         let mut data = encode_mesh(&mesh, &MeshCodecConfig::default());
         data[0] ^= 0xFF;
         assert!(decode_mesh(&data).is_err());
+    }
+
+    /// Split a coded mesh into (header, side stream, rANS stream).
+    fn sections(data: &[u8]) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        const HEADER: usize = 25;
+        let (side_len, n) = crate::primitives::read_varint(&data[HEADER..]).unwrap();
+        let side_end = HEADER + n + side_len as usize;
+        (data[..HEADER].to_vec(), data[HEADER + n..side_end].to_vec(), data[side_end..].to_vec())
+    }
+
+    fn assemble(header: &[u8], side: &[u8], symbols: &[u8]) -> Vec<u8> {
+        let mut out = header.to_vec();
+        crate::primitives::write_varint(&mut out, side.len() as u32);
+        out.extend_from_slice(side);
+        out.extend_from_slice(symbols);
+        out
+    }
+
+    #[test]
+    fn encoding_is_deterministic_and_sections_reassemble() {
+        let mesh = sphere_mesh();
+        let a = encode_mesh(&mesh, &MeshCodecConfig::default());
+        assert_eq!(a, encode_mesh(&mesh, &MeshCodecConfig::default()));
+        let (header, side, symbols) = sections(&a);
+        assert_eq!(assemble(&header, &side, &symbols), a);
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        // The rANS stream must end exactly on the initial state, so no
+        // proper prefix of a coded mesh decodes.
+        let mut m = TriMesh::uv_sphere(Vec3::ZERO, 1.0, 5, 7);
+        m.append(&TriMesh::uv_sphere(Vec3::X * 3.0, 0.5, 4, 5));
+        let data = encode_mesh(&m, &MeshCodecConfig::default());
+        decode_mesh(&data).unwrap();
+        for cut in 0..data.len() {
+            assert!(decode_mesh(&data[..cut]).is_err(), "truncation to {cut}/{} decoded", data.len());
+        }
+    }
+
+    #[test]
+    fn trailing_rans_bytes_are_rejected() {
+        let mut data = encode_mesh(&sphere_mesh(), &MeshCodecConfig::default());
+        data.push(0);
+        assert!(matches!(decode_mesh(&data), Err(DecodeError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn unconsumed_raw_bits_are_rejected() {
+        let data = encode_mesh(&sphere_mesh(), &MeshCodecConfig::default());
+        let (header, mut side, symbols) = sections(&data);
+        side.push(0);
+        match decode_mesh(&assemble(&header, &side, &symbols)) {
+            Err(DecodeError::Corrupt { detail, .. }) => assert!(detail.contains("unconsumed raw bits")),
+            other => panic!("expected unconsumed raw bits, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_wrong_final_state_is_rejected() {
+        // Bump the flushed state: still normalised, still the right
+        // length, but decoding cannot end where encoding began.
+        let data = encode_mesh(&sphere_mesh(), &MeshCodecConfig::default());
+        let (header, side, mut symbols) = sections(&data);
+        let state = u32::from_le_bytes(symbols[..4].try_into().unwrap());
+        symbols[..4].copy_from_slice(&(state ^ 0x40_0000).to_le_bytes());
+        assert!(decode_mesh(&assemble(&header, &side, &symbols)).is_err());
+    }
+
+    #[test]
+    fn declared_face_count_is_bounded_by_the_byte_budget() {
+        let mut data = encode_mesh(&sphere_mesh(), &MeshCodecConfig::default());
+        let forged = (data.len() * MAX_FACES_PER_BYTE + 1) as u32;
+        data[5..9].copy_from_slice(&forged.to_le_bytes());
+        assert!(matches!(decode_mesh(&data), Err(DecodeError::LimitExceeded { .. })));
+    }
+
+    #[test]
+    fn faces_per_byte_ceiling_holds_for_a_maximally_predictable_mesh() {
+        // A straight triangle strip on the quantization lattice (12 bits
+        // over a 4095-unit extent: a step of exactly one unit). Every
+        // attach is a new vertex that parallelogram prediction hits
+        // exactly, and the op stream repeats with period two — about as
+        // compressible as the traversal gets (~42 faces/byte). It must
+        // stay under the decoder's faces-per-byte cap.
+        let n = 4095u32;
+        let mut m = TriMesh::new();
+        for x in 0..=n {
+            m.vertices.push(Vec3::new(x as f32, 0.0, 0.0));
+            m.vertices.push(Vec3::new(x as f32, 1.0, 0.0));
+        }
+        for x in 0..n {
+            let (a, b) = (2 * x, 2 * x + 1);
+            m.faces.push([a, b, a + 2]);
+            m.faces.push([a + 2, b, b + 2]);
+        }
+        let data = encode_mesh(&m, &MeshCodecConfig { position_bits: 12 });
+        assert_eq!(decode_mesh(&data).unwrap().face_count(), m.face_count());
+        let per_byte = m.face_count() as f64 / data.len() as f64;
+        assert!(per_byte < MAX_FACES_PER_BYTE as f64, "{per_byte:.1} faces/byte");
     }
 
     #[test]

@@ -87,11 +87,28 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc32_update(0xFFFF_FFFF, data)
 }
 
+/// Slicing-by-8: `CRC_TABLES[k][b]` is the CRC contribution of byte `b`
+/// followed by `k` zero bytes, so eight table lookups fold eight bytes
+/// at once. `CRC_TABLES[0]` is the classic bytewise table.
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
 fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    for &b in data {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        crc = (crc >> 8) ^ TABLE[idx];
+    let t = &CRC_TABLES;
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
 }
@@ -105,8 +122,8 @@ pub fn crc32_concat(parts: &[&[u8]]) -> u32 {
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -115,10 +132,20 @@ const fn crc32_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// One framed payload: the unit `Session` and the SFU put on every hop.
@@ -388,6 +415,43 @@ mod tests {
         // The classic check value: CRC32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The one-byte-at-a-time definition slicing-by-8 must reproduce.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_slicing_by_8_matches_bytewise_at_every_length_and_alignment() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let buf: Vec<u8> = (0..4096 + 8)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for len in (0..64).chain((0..200).map(|i| (i * 2_654_435_761u64 % 4096) as usize)) {
+            for offset in 0..8 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "len {len} offset {offset}");
+                for split in [0, len / 3, len / 2, len.saturating_sub(1), len] {
+                    let (a, b) = data.split_at(split);
+                    let (b, c) = b.split_at(b.len() / 2);
+                    assert_eq!(
+                        crc32_concat(&[a, b, c]),
+                        crc32_bytewise(data),
+                        "len {len} offset {offset} split {split}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

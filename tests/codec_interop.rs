@@ -39,6 +39,35 @@ fn mesh_codec_roundtrips_posed_bodies_across_a_clip() {
     }
 }
 
+/// The body mesh a `session_mesh` run ships first: seed 1, frame 0 of
+/// an 8 s clip at 30 fps.
+fn workload_body_mesh() -> holo_mesh::trimesh::TriMesh {
+    use semholo::config::SemHoloConfig;
+    use semholo::scene::SceneSource;
+    SceneSource::new(&SemHoloConfig { seed: 1, ..Default::default() }, 8.0).frame(0).posed_mesh()
+}
+
+#[test]
+fn static_rans_mesh_format_is_smaller_than_the_adaptive_coder() {
+    // Sizes of the adaptive range-coded format this one replaced.
+    const ADAPTIVE_BODY_BYTES: usize = 35_105;
+    const ADAPTIVE_SPHERE_BYTES: usize = 1_419;
+    let cfg = MeshCodecConfig { position_bits: 14 };
+
+    let body = workload_body_mesh();
+    assert_eq!((body.vertex_count(), body.face_count()), (8_330, 16_656));
+    let coded = encode_mesh(&body, &cfg);
+    assert!(coded.len() < ADAPTIVE_BODY_BYTES, "body mesh: {} B", coded.len());
+    assert_eq!(coded, encode_mesh(&body, &cfg), "encoding must be deterministic");
+    assert_eq!(decode_mesh(&coded).unwrap().face_count(), body.face_count());
+
+    // Small meshes pay for their tables: stay within 3% of the old size.
+    let sphere = holo_mesh::trimesh::TriMesh::uv_sphere(holo_math::Vec3::new(0.3, -0.2, 1.0), 0.9, 16, 24);
+    let coded = encode_mesh(&sphere, &cfg);
+    assert!(coded.len() * 100 <= ADAPTIVE_SPHERE_BYTES * 103, "uv sphere: {} B", coded.len());
+    assert_eq!(coded, encode_mesh(&sphere, &cfg), "encoding must be deterministic");
+}
+
 #[test]
 fn pose_payload_parse_never_panics_on_corruption() {
     let mut rng = Pcg32::new(1);
@@ -111,3 +140,4 @@ holo_prop! {
         prop_assert_eq!((d.width, d.height), (w, h));
     }
 }
+

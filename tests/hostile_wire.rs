@@ -47,7 +47,8 @@ fn strict_formats_reject_every_truncation() {
     for target in registry(SEED) {
         if !matches!(
             target.name,
-            "net.wire_frame"
+            "meshcodec.decode_mesh"
+                | "net.wire_frame"
                 | "net.uep_header"
                 | "body.pose_payload"
                 | "core.raw_mesh"
